@@ -137,6 +137,7 @@ class McmcBackend:
 
         best_strategy: Strategy | None = None
         best_cost = float("inf")
+        metrics = None
         traces: dict = {}
         init_costs: dict[str, float] = {}
         simulations = 0
@@ -156,6 +157,7 @@ class McmcBackend:
             if r.best_cost_us < best_cost:
                 best_cost = r.best_cost_us
                 best_strategy = r.best_strategy
+                metrics = r.metrics
 
         # Aggregate per-chain accounting deltas: the authoritative totals,
         # since per-worker caches/stores are gone once the pool shuts down.
@@ -172,7 +174,8 @@ class McmcBackend:
                 f"(early_stop.cost_us={config.early_stop.cost_us!r}); "
                 "raise or remove the target so at least one chain runs"
             )
-        metrics = simulate_strategy(graph, topology, best_strategy, profiler, training=training)
+        # The winning chain measured its best strategy on its own live
+        # simulator (run_one_chain), so no task graph is rebuilt here.
         # Report the worker count actually observed (distinct processes that
         # ran chains), not the request: run_chains clamps to the chain count
         # and falls back to in-process execution on unpicklable inputs.

@@ -62,6 +62,7 @@ Only bind on trusted networks: requests and results travel as pickles
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -161,6 +162,19 @@ class _Session:
             self.closed = True
 
 
+def _close_listener(listener: socket.socket) -> None:
+    """Close a listening socket, waking an ``accept()`` blocked on it.
+
+    ``shutdown()`` wakes the blocked thread at once (on Linux; elsewhere
+    the listeners' 0.5 s timeout does); ``close()`` alone would not.
+    Safe on an already-closed socket.
+    """
+    with contextlib.suppress(OSError):
+        listener.shutdown(socket.SHUT_RDWR)
+    with contextlib.suppress(OSError):
+        listener.close()
+
+
 class PlanServer:
     """The resident planning service (see module docstring).
 
@@ -224,8 +238,13 @@ class PlanServer:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         srv.bind((self._host, self._port))
         srv.listen(16)
-        self._srv = srv
+        # Wake periodically, so a drain never relies on a cross-thread
+        # close waking accept().  Set before shutdown() can see (and
+        # close) the socket: on a closed socket it would raise outside
+        # the try below and skip the drain in its finally.
+        srv.settimeout(0.5)
         bound_host, bound_port = srv.getsockname()[:2]
+        self._srv = srv
         self.address = f"{bound_host}:{bound_port}"
         stream = self._announce_stream if self._announce_stream is not None else sys.stdout
         print(f"REPRO-PLAN-SERVE {bound_host} {bound_port}", file=stream, flush=True)
@@ -240,8 +259,10 @@ class PlanServer:
             jsrv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             jsrv.bind((jhost, jport))
             jsrv.listen(8)
+            jsrv.settimeout(0.5)  # as for srv: before shutdown() can close it
+            jport = jsrv.getsockname()[1]
             self._join_srv = jsrv
-            self.join_address = f"{jhost}:{jsrv.getsockname()[1]}"
+            self.join_address = f"{jhost}:{jport}"
             _log(f"worker registration listener on {self.join_address}")
             join_thread = threading.Thread(
                 target=self._join_loop, args=(jsrv,), name="plan-join", daemon=True
@@ -255,10 +276,6 @@ class PlanServer:
         for t in workers:
             t.start()
 
-        # Wake periodically: a close() from shutdown() on another thread
-        # does not interrupt a blocked accept() (only the signal path
-        # does), so a drain must never rely on it.
-        srv.settimeout(0.5)
         try:
             while not self._draining.is_set():
                 try:
@@ -283,10 +300,7 @@ class PlanServer:
         finally:
             self._draining.set()
             if self._join_srv is not None:
-                try:
-                    self._join_srv.close()
-                except OSError:
-                    pass
+                _close_listener(self._join_srv)
             with self._work:
                 self._work.notify_all()
             for t in workers:
@@ -302,10 +316,7 @@ class PlanServer:
                     s.conn.close()
                 except OSError:
                     pass
-            try:
-                srv.close()
-            except OSError:
-                pass
+            _close_listener(srv)
             _log(f"drained ({flushed} store evaluation(s) flushed); bye")
 
     def shutdown(self) -> None:
@@ -316,16 +327,9 @@ class PlanServer:
             return
         _log("drain requested: no longer accepting; finishing in-flight searches")
         self._draining.set()
-        if self._srv is not None:
-            try:
-                self._srv.close()
-            except OSError:
-                pass
-        if self._join_srv is not None:
-            try:
-                self._join_srv.close()
-            except OSError:
-                pass
+        for listener in (self._srv, self._join_srv):
+            if listener is not None:
+                _close_listener(listener)
         with self._work:
             self._work.notify_all()
 
@@ -338,9 +342,7 @@ class PlanServer:
         reads the fleet per request) -- the listener never touches a
         search already running.
         """
-        # Same periodic wake as the request listener: a cross-thread
-        # close() never interrupts a blocked accept().
-        listener.settimeout(0.5)
+        # serve_forever gave the listener a 0.5 s timeout, as for srv.
         while not self._draining.is_set():
             try:
                 conn, addr = listener.accept()

@@ -32,7 +32,10 @@ from repro.profiler.profiler import OpProfiler
 from repro.search.cache import CacheStats, SimulationCache
 from repro.search.mcmc import BudgetChannel, MCMCConfig, SearchTrace, mcmc_search
 from repro.search.store import StoreStats
+from repro.sim.full_sim import full_simulate
+from repro.sim.metrics import IterationMetrics, compute_metrics
 from repro.sim.simulator import Simulator
+from repro.sim.taskgraph import TaskGraph
 from repro.soap.space import ConfigSpace
 from repro.soap.strategy import Strategy
 
@@ -101,6 +104,9 @@ class ChainResult:
     store: StoreStats = field(default_factory=StoreStats)
     skipped: bool = False  # early-stop target met before the chain started
     worker_pid: int = 0  # process that ran the chain (observed, not requested)
+    # Metrics of best_strategy, measured on the chain's own simulator
+    # (None only for skipped chains); see _best_metrics.
+    metrics: IterationMetrics | None = None
 
 
 @dataclass(frozen=True)
@@ -259,6 +265,39 @@ def _store_delta(after: StoreStats, before: StoreStats) -> StoreStats:
     )
 
 
+def _best_metrics(sim: Simulator, best: Strategy, best_cost: float) -> IterationMetrics:
+    """Metrics of a chain's best strategy, measured in the chain's process.
+
+    A chain usually ends a few groups away from its best, so the chain's
+    own simulator is spliced to ``best`` -- only the weight-sharing
+    groups whose config differs -- and swept once, instead of building
+    the best strategy's task graph from scratch.  When more than half
+    the groups differ, as after a chain answered entirely from a warm
+    store (its simulator never moved), a fresh build is cheaper: every
+    splice also rebuilds the transfers to its neighbours, so splicing
+    most groups costs about twice a build.  The sweep must reproduce the
+    chain's best cost bit for bit; anything else means a stale store
+    entry or a simulator bug, so it raises rather than report metrics of
+    a different timeline.
+    """
+    tg = sim.task_graph
+    groups = sim.graph.param_groups().values()
+    stale = [m[0] for m in groups if best[m[0]] != tg.strategy[m[0]]]
+    if 2 * len(stale) > len(groups):
+        tg = TaskGraph(sim.graph, sim.topology, best, sim.profiler, training=tg.training)
+        timeline = full_simulate(tg)
+    else:
+        for op in stale:
+            tg.replace_config(op, best[op])  # applies to op's whole group
+        timeline = sim.timeline = full_simulate(tg)
+    if timeline.makespan != best_cost:
+        raise RuntimeError(
+            f"best strategy re-simulates to {timeline.makespan!r} us, "
+            f"but the chain recorded {best_cost!r} us"
+        )
+    return compute_metrics(tg, timeline)
+
+
 def run_one_chain(
     ctx: ExecutionContext,
     spec: ChainSpec,
@@ -339,6 +378,7 @@ def run_one_chain(
     cache_delta = (
         _stats_delta(cache.stats(), cache_before) if cache is not None else CacheStats()
     )
+    metrics = _best_metrics(sim, best_strategy, best_cost)
     return ChainResult(
         name=spec.name,
         best_strategy=best_strategy,
@@ -349,6 +389,7 @@ def run_one_chain(
         cache=cache_delta,
         store=store_delta,
         worker_pid=os.getpid(),
+        metrics=metrics,
     )
 
 

@@ -94,7 +94,9 @@ __all__ = [
 # v2: elastic fleets -- join/join_ack registration, store_delta
 #     evaluation gossip, budget_deposit/budget_withdraw/budget_grant
 #     adaptive-budget transport.
-PROTOCOL_VERSION = 2
+# v3: result frames' ChainResult carries the best strategy's metrics,
+#     measured on the worker (the coordinator no longer simulates it).
+PROTOCOL_VERSION = 3
 SERVE_PROTOCOL_VERSION = 1
 
 _TAG_JSON = b"J"

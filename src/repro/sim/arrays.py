@@ -31,31 +31,56 @@ Canonical-key ranks
 -------------------
 The simulators break ready-time ties by :attr:`~repro.sim.taskgraph.Task.ckey`,
 a structural tuple.  Tuple comparisons in a priority queue are the
-single hottest comparison site, so every distinct ckey is interned to an
-integer *rank* with the defining property ``rank(a) < rank(b)`` iff
-``a < b`` for all interned keys -- heaps ordered by ``(time, rank)``
-therefore pop in exactly the ``(time, ckey)`` order of the reference
-algorithms, keeping timelines bit-identical.  Interning a key that sorts
-between existing ones shifts every key at or past the insertion point by
-*exactly one* rank, so a renumber is two in-place ``+1`` bumps (one over
-the rank table, one over the live ``rank`` column) rather than a tail
-re-dict plus a whole-column rescan; :attr:`~TaskArrays.rank_renumbers`
-counts them, and the ckey universe of a search problem is finite, so
-renumbering frequency decays to zero as the table saturates (the
-``bench_delta_propagation`` benchmark asserts the decay).
+single hottest comparison site, so every ckey is encoded in closed form
+as one non-negative ``int64`` *rank* whose integer order equals tuple
+order -- heaps ordered by ``(time, rank)`` therefore pop in exactly the
+``(time, ckey)`` order of the reference algorithms, keeping timelines
+bit-identical.  The ckey kind (compute, edge transfer, ring all-reduce
+hop, update; see :func:`_ckey_layouts`) takes the top bits and each
+field follows in tuple order in a fixed-width bit field sized from the
+graph's op count, its largest input-slot count and the topology's
+device count; task, shard and ring indices share the bits left over.
+Widths are fixed per task graph, so ranks never change: there is no
+table to grow or renumber, and splice recipes store ranks outright.  A
+ckey too wide for its fields raises ``ValueError`` -- it is never
+silently mis-ordered.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-
-try:  # numpy accelerates the renumber bumps; the loops below are the gate
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+from types import MappingProxyType
 
 __all__ = ["TaskArrays"]
+
+# Ranks are kind << _PAYLOAD_BITS | payload: the kind (0-3) takes bits
+# 61-62, so every rank is a non-negative int64.
+_PAYLOAD_BITS = 61
+
+
+def _ckey_layouts(num_ops: int, max_slots: int, num_devices: int) -> tuple:
+    """Per-kind bit widths of the ckey fields, kind first, in tuple order.
+
+    After the kind's 2 bits every kind's widths sum to ``_PAYLOAD_BITS``,
+    so the kind lands in the same top bits for all four.
+    """
+    op = max(num_ops - 1, 0).bit_length()
+    slot = max(max_slots - 1, 0).bit_length()
+    dev = max(num_devices - 1, 0).bit_length()
+    task = (_PAYLOAD_BITS - 1 - 2 * op - slot) // 2
+    shard = _PAYLOAD_BITS - op - dev
+    if task < 0 or shard < 0:
+        raise ValueError(
+            f"ckeys of a {num_ops}-op graph on {num_devices} devices do not fit "
+            f"{_PAYLOAD_BITS}-bit ranks"
+        )
+    return (
+        (2, op, _PAYLOAD_BITS - 1 - op, 1),  # (0, op, k, fb)
+        # (1, src, dst, slot, kj, ki, fb); kj absorbs an odd leftover bit.
+        (2, op, op, slot, _PAYLOAD_BITS - 1 - 2 * op - slot - task, task, 1),
+        (2, op, shard, dev),  # (2, op, shard, i)
+        (2, op, shard, dev),  # (3, op, shard, dev)
+    )
 
 
 class TaskArrays:
@@ -63,7 +88,9 @@ class TaskArrays:
 
     Maintained *incrementally* by the task graph's construction and
     splice paths (:meth:`add`, :meth:`link`, :meth:`discard`); the
-    simulators only ever read it.
+    simulators only ever read it.  ``num_ops``, ``max_slots`` and
+    ``num_devices`` bound the ckey fields and fix the rank encoding
+    (see :meth:`intern`).
     """
 
     __slots__ = (
@@ -79,16 +106,18 @@ class TaskArrays:
         "slot_of",
         "free",
         "dev_count",
-        "rank_renumbers",
-        "_sorted_ckeys",
-        "_ckey_idx",
-        "_idx_rank",
+        "_layouts",
     )
 
-    def __init__(self) -> None:
+    # Ranks are closed-form, so nothing is ever renumbered and no key
+    # table exists; both are kept only for the benchmark's intern gauges.
+    rank_renumbers = 0
+    _ckey_idx = MappingProxyType({})
+
+    def __init__(self, num_ops: int, max_slots: int, num_devices: int) -> None:
         self.exe = array("d")  # per-slot execution time (us)
         self.dev = array("q")  # per-slot device / connection id
-        self.rank = array("q")  # per-slot interned ckey rank
+        self.rank = array("q")  # per-slot ckey rank (see intern)
         self.tid = array("q")  # per-slot task id, -1 when the slot is free
         self.kind = array("b")  # per-slot TaskKind value
         self.nbytes = array("d")  # per-slot transfer volume (COMM tasks)
@@ -102,64 +131,26 @@ class TaskArrays:
         # predict a splice's repair cone -- live tasks at or after the
         # cut, per device chain -- without scanning the graph.
         self.dev_count: dict[int, int] = {}
-        self.rank_renumbers = 0  # mid-table inserts; decays to 0 at saturation
-        self._sorted_ckeys: list[tuple] = []  # all distinct ckeys, sorted
-        # ckey -> a stable per-key index into _idx_rank (its insertion
-        # number, never renumbered); _idx_rank[j] is key j's *current*
-        # rank.  Keeping ranks in a flat column instead of dict values
-        # makes a renumber one vectorizable += over integers.
-        self._ckey_idx: dict[tuple, int] = {}
-        self._idx_rank = array("q")
+        self._layouts = _ckey_layouts(num_ops, max_slots, num_devices)
 
-    # -- ckey interning ----------------------------------------------------
-    def rank_of(self, ckey: tuple) -> int:
-        """Current rank of an already-interned key."""
-        return self._idx_rank[self._ckey_idx[ckey]]
-
-    def key_index(self, ckey: tuple) -> int:
-        """The *stable* intern index of an already-interned key.
-
-        Unlike ranks, intern indices are insertion numbers: never
-        renumbered and never reused (the table only grows), so they can
-        be memoized across splices; ``_idx_rank[key_index(k)]`` is always
-        the key's current rank.
-        """
-        return self._ckey_idx[ckey]
-
+    # -- ckey ranks --------------------------------------------------------
     def intern(self, ckey: tuple) -> int:
-        """The rank of ``ckey``: order-preserving over all interned keys."""
-        j = self._ckey_idx.get(ckey)
-        if j is not None:
-            return self._idx_rank[j]
-        idx = bisect_left(self._sorted_ckeys, ckey)
-        self._sorted_ckeys.insert(idx, ckey)
-        self._ckey_idx[ckey] = len(self._idx_rank)
-        self._idx_rank.append(idx)
-        if idx == len(self._sorted_ckeys) - 1:
-            # Appending at the tail keeps every existing rank valid.
-            return idx
-        # Mid-table insert: every existing key at or past idx -- and every
-        # live slot holding one -- moves up by exactly one rank, so the
-        # renumber is two in-place +1 bumps over integer columns (the new
-        # key's own entry was appended above, after the bump cutoff is
-        # computed, so it must be excluded by position, not value).
-        self.rank_renumbers += 1
-        if _np is not None:
-            table = _np.frombuffer(self._idx_rank, dtype=_np.int64)[:-1]
-            table[table >= idx] += 1
-            if len(self.rank):
-                col = _np.frombuffer(self.rank, dtype=_np.int64)
-                col[col >= idx] += 1
-        else:  # pragma: no cover - numpy-less fallback, same semantics
-            table = self._idx_rank
-            for j in range(len(table) - 1):
-                if table[j] >= idx:
-                    table[j] += 1
-            col = self.rank
-            for slot in range(len(col)):
-                if col[slot] >= idx:
-                    col[slot] += 1
-        return idx
+        """The rank of ``ckey``: ``intern(a) < intern(b)`` iff ``a < b``.
+
+        A pure function of the key and this graph's field widths;
+        ``ValueError`` when the key is not a ckey or a field overflows.
+        """
+        try:
+            widths = self._layouts[ckey[0]]
+        except IndexError:
+            raise ValueError(f"not a ckey: {ckey!r}") from None
+        code = over = 0
+        for value, bits in zip(ckey, widths):
+            code = code << bits | value
+            over |= value >> bits  # nonzero iff value is outside [0, 2**bits)
+        if over or len(ckey) != len(widths):
+            raise ValueError(f"ckey {ckey!r} does not fit this graph's rank encoding")
+        return code
 
     # -- slot lifecycle ----------------------------------------------------
     def add(
@@ -170,9 +161,11 @@ class TaskArrays:
         ckey: tuple,
         kind: int = 0,
         nbytes: float = 0.0,
+        rank: int | None = None,  # intern(ckey), when the caller has it
     ) -> int:
         """Assign a slot to a new live task; returns the slot."""
-        rank = self.intern(ckey)
+        if rank is None:
+            rank = self.intern(ckey)
         dc = self.dev_count
         dc[device] = dc.get(device, 0) + 1
         if self.free:
@@ -276,7 +269,7 @@ class TaskArrays:
         """Assert this mirror exactly matches a ``{tid: Task}`` dict.
 
         Test-suite helper: raises ``AssertionError`` on any divergence
-        (membership, static columns, adjacency as sets, rank ordering).
+        (membership, static columns, closed-form ranks, adjacency as sets).
         """
         assert set(self.slot_of) == set(tasks), (
             f"live-id mismatch: arrays={sorted(self.slot_of)} tasks={sorted(tasks)}"
@@ -289,7 +282,7 @@ class TaskArrays:
             assert self.kind[slot] == int(t.kind), f"kind mismatch for task {tid}"
             assert self.nbytes[slot] == t.nbytes, f"nbytes mismatch for task {tid}"
             assert self.ckey[slot] == t.ckey, f"ckey mismatch for task {tid}"
-            assert self.rank[slot] == self.rank_of(t.ckey)
+            assert self.rank[slot] == self.intern(t.ckey), f"rank mismatch for task {tid}"
             got_ins = sorted(self.tid[p] for p in self.ins[slot])
             got_outs = sorted(self.tid[s] for s in self.outs[slot])
             assert got_ins == sorted(t.ins), f"ins mismatch for task {tid}"
@@ -299,9 +292,6 @@ class TaskArrays:
             want[t.device] = want.get(t.device, 0) + 1
         got = {d: n for d, n in self.dev_count.items() if n}
         assert got == want, f"dev_count drift: {got} != {want}"
-        # Rank table is a bijection consistent with ckey ordering.
-        for a, b in zip(self._sorted_ckeys, self._sorted_ckeys[1:]):
-            assert a < b and self.rank_of(a) < self.rank_of(b)
         for slot in self.free:
             assert self.tid[slot] == -1
             assert not self.ins[slot] and not self.outs[slot]

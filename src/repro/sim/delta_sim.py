@@ -61,7 +61,7 @@ cut (never observed; counted in :attr:`DeltaStats.fallbacks`).
 
 Like the full algorithm, the suffix sweep runs on the flat
 :class:`~repro.sim.arrays.TaskArrays` substrate -- static columns and
-adjacency rows indexed by slot, heap ordered by interned ckey rank --
+adjacency rows indexed by slot, heap ordered by closed-form ckey rank --
 instead of probing the ``dict[int, Task]`` per field access.
 """
 

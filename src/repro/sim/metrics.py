@@ -8,6 +8,7 @@ plus per-device utilization breakdowns used by the benchmark reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.sim.full_sim import Timeline
@@ -58,11 +59,14 @@ def compute_metrics(tg: TaskGraph, tl: Timeline) -> IterationMetrics:
     Aggregates over the flat :class:`~repro.sim.arrays.TaskArrays`
     columns; the ``Task`` objects are only consulted for COMM tasks'
     connection labels (the one property the arrays do not mirror).
+    Every total is an exact ``math.fsum`` and the per-label/per-device
+    dicts are key-sorted, so the metrics depend only on the set of
+    tasks, never on the slot order a sequence of splices left behind.
     """
-    comm_bytes = 0.0
-    compute_us = 0.0
-    by_label: dict[str, float] = {}
-    busy: dict[int, float] = {}
+    comm_bytes: list[float] = []
+    compute_us: list[float] = []
+    by_label: dict[str, list[float]] = {}
+    busy: dict[int, list[float]] = {}
     arr = tg.arrays
     exe, dev, kinds, nbytes, tids = arr.exe, arr.dev, arr.kind, arr.nbytes, arr.tid
     comm = int(TaskKind.COMM)
@@ -72,22 +76,21 @@ def compute_metrics(tg: TaskGraph, tl: Timeline) -> IterationMetrics:
             continue
         if kinds[slot] == comm:
             nb = nbytes[slot]
-            comm_bytes += nb
+            comm_bytes.append(nb)
             conn = tg.tasks[tid].conn
             label = conn.label if conn is not None else "?"
-            by_label[label] = by_label.get(label, 0.0) + nb
+            by_label.setdefault(label, []).append(nb)
         else:
             e = exe[slot]
-            compute_us += e
-            d = dev[slot]
-            busy[d] = busy.get(d, 0.0) + e
+            compute_us.append(e)
+            busy.setdefault(dev[slot], []).append(e)
     return IterationMetrics(
         makespan_us=tl.makespan,
-        total_comm_bytes=comm_bytes,
-        total_compute_us=compute_us,
+        total_comm_bytes=math.fsum(comm_bytes),
+        total_compute_us=math.fsum(compute_us),
         num_tasks=len(tg.tasks),
-        comm_bytes_by_label=by_label,
-        device_busy_us=busy,
+        comm_bytes_by_label={k: math.fsum(by_label[k]) for k in sorted(by_label)},
+        device_busy_us={d: math.fsum(busy[d]) for d in sorted(busy)},
     )
 
 

@@ -23,7 +23,7 @@ Keeping the chains on the timeline means the MCMC speculative path
 (snapshot on propose, restore on revert) versions the propagation state
 for free.  Static task properties and adjacency are read from the flat
 :class:`~repro.sim.arrays.TaskArrays` substrate; the queue orders by
-interned ckey *rank*, which preserves the reference tie-break order.
+closed-form ckey *rank*, which preserves the reference tie-break order.
 
 Convergence and exactness
 -------------------------

@@ -101,7 +101,7 @@ class SpliceRecipe:
     """
 
     specs: list[tuple]  # (kind, device, exe, ckey, op_id, index, backward, nbytes, conn)
-    kidx: list[int]  # per-spec stable intern index of the ckey (see key_index)
+    kidx: list[int]  # per-spec ckey rank (closed form, so valid for the graph's life)
     internal: list[tuple[int, int]]  # links between two new tasks, spec indices
     external: list[tuple[int, int, tuple[int, int, int]]]  # (dir, spec idx, (op, f/b, k))
     fwd_idx: dict[int, list[int]]
@@ -131,6 +131,7 @@ class SpliceRecord:
     members: tuple[int, ...]
     old_cfg: object  # the members' shared ParallelConfig before the splice
     removed_tasks: list[Task]
+    removed_ranks: list[int]  # their ckey ranks, so undo need not re-encode them
     added_lo: int  # added task ids are the contiguous range [added_lo, added_hi)
     added_hi: int
     fwd_lists: dict[int, list[int]]
@@ -167,7 +168,11 @@ class TaskGraph:
         # Flat struct-of-arrays mirror the simulators' hot loops read
         # (exe/device/rank columns, slot-indexed adjacency rows); kept in
         # lockstep by _new_task/_link and the splice paths below.
-        self.arrays = TaskArrays()
+        self.arrays = TaskArrays(
+            graph.num_ops,
+            max((len(graph.inputs_of(o)) for o in graph.op_ids), default=0),
+            topology.num_devices,
+        )
         self._next_tid = 0
         self._last_splice: SpliceRecord | None = None
         # True iff the most recent replace_config was a pure identity
@@ -438,14 +443,14 @@ class TaskGraph:
         internal: list[tuple[int, int]] = []
         external: list[tuple[int, int, tuple[int, int, int]]] = []
         tasks = self.tasks
-        key_index = self.arrays.key_index
+        rank, slot_of = self.arrays.rank, self.arrays.slot_of
         for i, tid in enumerate(new_tids):
             t = tasks[tid]
             specs.append(
                 (t.kind, t.device, t.exe_time, t.ckey,
                  t.op_id, t.index, t.backward, t.nbytes, t.conn)
             )
-            kidx.append(key_index(t.ckey))
+            kidx.append(rank[slot_of[tid]])
             for p in t.ins:
                 j = new_map.get(p)
                 if j is not None:
@@ -488,18 +493,16 @@ class TaskGraph:
         new_tids: list[int] = []
         new_tasks: list[Task] = []
         new_slots: list[int] = []
-        # Inlined arrays.add: replayed ckeys are already interned (the
-        # intern table never shrinks), so the memoized stable intern
-        # index turns rank lookup into one array read, and the column
-        # writes run without per-task call overhead.
+        # Inlined arrays.add: ranks are closed-form, so the recipe's
+        # memoized ranks are written as-is, and the column writes run
+        # without per-task call overhead.
         free = arrays.free
         exe_a, dev_a, rank_a = arrays.exe, arrays.dev, arrays.rank
         tid_a, kind_a, nbytes_a = arrays.tid, arrays.kind, arrays.nbytes
         ckey_a = arrays.ckey
-        idx_rank = arrays._idx_rank
         slot_of = arrays.slot_of
         dev_count = arrays.dev_count
-        for spec, j in zip(recipe.specs, recipe.kidx):
+        for spec, rank in zip(recipe.specs, recipe.kidx):
             # Spec tuples are stored in Task field order (tid excluded),
             # so construction is one positional call.
             t = Task(tid, *spec)
@@ -521,7 +524,7 @@ class TaskGraph:
             d = spec[1]
             dev_a[slot] = d
             dev_count[d] = dev_count.get(d, 0) + 1
-            rank_a[slot] = idx_rank[j]
+            rank_a[slot] = rank
             tid_a[slot] = tid
             kind_a[slot] = spec[0]
             nbytes_a[slot] = spec[7]
@@ -657,6 +660,9 @@ class TaskGraph:
                 members=members,
                 old_cfg=self.strategy[members[0]],
                 removed_tasks=[self.tasks[tid] for tid in removed_ids],
+                removed_ranks=[
+                    self.arrays.rank[self.arrays.slot_of[tid]] for tid in removed_ids
+                ],
                 added_lo=self._next_tid,
                 added_hi=self._next_tid,
                 fwd_lists={m: self.fwd[m] for m in members},
@@ -748,9 +754,9 @@ class TaskGraph:
                     surv.ins.remove(t.tid)
 
         removed_set = {t.tid for t in rec.removed_tasks}
-        for t in rec.removed_tasks:
+        for t, rank in zip(rec.removed_tasks, rec.removed_ranks):
             self.tasks[t.tid] = t
-            self.arrays.add(t.tid, t.exe_time, t.device, t.ckey, int(t.kind), t.nbytes)
+            self.arrays.add(t.tid, t.exe_time, t.device, t.ckey, int(t.kind), t.nbytes, rank)
         for t in rec.removed_tasks:
             # Each edge is re-recorded in the arrays exactly once: through
             # the consumer's ins for every predecessor, plus the producer's

@@ -16,6 +16,7 @@ from repro.plan import (
 )
 from repro.profiler.profiler import OpProfiler
 from repro.search.optimizer import optimize
+from repro.sim.simulator import simulate_strategy
 
 
 class TestLegacyParity:
@@ -58,6 +59,82 @@ class TestLegacyParity:
         assert res.best_cost_us == legacy.best_cost_us
         assert res.extras["explored"] == legacy.explored
         assert res.extras["pruned"] == legacy.pruned
+
+
+class TestChainSideMetrics:
+    """The mcmc backend's metrics come from the winning chain's live
+    simulator, spliced to its best strategy; they must equal a fresh
+    one-shot simulation of that strategy exactly."""
+
+    @staticmethod
+    def _search(graph, topo, workers=1, algorithm="auto", store_root=None):
+        return Planner(graph, topo, profiler=OpProfiler()).search(
+            "mcmc",
+            SearchConfig(
+                budget=BudgetConfig(iterations=60, no_improve_frac=None),
+                execution=ExecutionConfig(workers=workers, cache_size=256),
+                store=StoreConfig(root=store_root),
+                algorithm=algorithm,
+                seed=5,
+            ),
+        )
+
+    @pytest.mark.parametrize("algorithm", ["full", "delta", "auto"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_metrics_equal_fresh_simulation(self, lenet_graph, topo4, workers, algorithm):
+        res = self._search(lenet_graph, topo4, workers, algorithm)
+        fresh = simulate_strategy(lenet_graph, topo4, res.best_strategy, OpProfiler())
+        assert res.metrics == fresh
+        assert res.metrics.makespan_us == res.best_cost_us
+        for chain in res.extras["chains"]:
+            assert chain.metrics.makespan_us == chain.best_cost_us
+
+    def test_weight_shared_groups(self, tiny_rnn_graph, topo4):
+        res = self._search(tiny_rnn_graph, topo4)
+        fresh = simulate_strategy(tiny_rnn_graph, topo4, res.best_strategy, OpProfiler())
+        assert res.metrics == fresh
+
+    def test_lazily_synced_chain_with_store(self, lenet_graph, topo4, tmp_path):
+        root = str(tmp_path / "store")
+        cold = self._search(lenet_graph, topo4, store_root=root)
+        # The warm repeat answers every proposal from the store, so its
+        # simulators never leave their initial strategies: the final
+        # splice has to carry each chain all the way to its best.
+        warm = self._search(lenet_graph, topo4, store_root=root)
+        assert warm.store_stats.hits > 0
+        assert warm.simulations == len(warm.extras["chains"])  # init sweeps only
+        fresh = simulate_strategy(lenet_graph, topo4, warm.best_strategy, OpProfiler())
+        assert warm.metrics == cold.metrics == fresh
+
+    def test_splice_and_rebuild_paths(self, lenet_graph, topo4):
+        """Few stale groups are spliced into the chain's simulator, most
+        stale groups get a fresh build; both must equal a fresh
+        simulation, and a best cost the sweep does not reproduce raises."""
+        import numpy as np
+
+        from repro.search.exec.base import _best_metrics
+        from repro.sim.simulator import Simulator
+        from repro.soap.presets import data_parallelism
+        from repro.soap.space import ConfigSpace
+
+        dp = data_parallelism(lenet_graph, topo4)
+        space = ConfigSpace(lenet_graph, topo4)
+        rng = np.random.default_rng(0)
+        op = lenet_graph.op_ids[-2]
+        cfg = space.random_config(op, rng)
+        while cfg == dp[op]:
+            cfg = space.random_config(op, rng)
+        near, far = dp.with_config(op, cfg), space.random_strategy(rng)
+        groups = len(lenet_graph.param_groups())
+        assert 2 * sum(far[o] != dp[o] for o in lenet_graph.op_ids) > groups
+        # (best, the simulator's strategy afterwards): spliced, then rebuilt.
+        for best, after in ((near, near), (far, dp)):
+            sim = Simulator(lenet_graph, topo4, dp, OpProfiler())
+            want = simulate_strategy(lenet_graph, topo4, best, OpProfiler())
+            assert _best_metrics(sim, best, want.makespan_us) == want
+            assert sim.strategy.signature() == after.signature()
+        with pytest.raises(RuntimeError, match="re-simulates"):
+            _best_metrics(sim, dp, sim.cost + 1.0)
 
 
 class TestSearchErrors:

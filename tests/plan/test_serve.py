@@ -16,6 +16,7 @@ The load-bearing guarantees:
 """
 
 import signal
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -296,3 +297,50 @@ class TestWorkerJoin:
                 time.sleep(0.02)
             assert server.cluster == ("worker-a:7070",)
             assert server.stats.workers_joined == 1
+
+
+class TestShutdownRace:
+    """``shutdown()`` may land at any point of ``serve_forever``'s
+    start-up: the server must still drain -- join its search threads and
+    flush stores -- and no thread may die on a closed listener."""
+
+    @pytest.mark.parametrize("join_bind", [None, "127.0.0.1:0"])
+    def test_shutdown_as_soon_as_bound(self, join_bind):
+        import io
+
+        from repro.plan.serve import PlanServer
+
+        raised = []
+        hook = threading.excepthook
+        threading.excepthook = raised.append
+        # Hand the GIL over often, so shutdown() lands anywhere in start-up.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(25):
+                server = PlanServer(
+                    "127.0.0.1:0", announce_stream=io.StringIO(), join_bind=join_bind
+                )
+                t = threading.Thread(
+                    target=server.serve_forever,
+                    kwargs={"install_signal_handlers": False},
+                    daemon=True,
+                )
+                t.start()
+                deadline = time.monotonic() + 10
+                while server.address is None and time.monotonic() < deadline:
+                    pass  # no sleep: shut down the moment the listener is up
+                assert server.address is not None, "server never bound"
+                server.shutdown()
+                t.join(timeout=10)
+                assert not t.is_alive(), "serve_forever did not return"
+        finally:
+            sys.setswitchinterval(interval)
+            threading.excepthook = hook
+        assert raised == []
+        leftover = [
+            th.name
+            for th in threading.enumerate()
+            if th.name.startswith(("plan-search-", "plan-join"))
+        ]
+        assert leftover == []
