@@ -37,6 +37,9 @@ def _propose_revert_cycles(graph, topo, *, pool_snapshots: bool):
         topo,
         data_parallelism(graph, topo),
         OpProfiler(),
+        # Pooling applies only to the in-place (incremental) algorithms;
+        # under the default full path both arms would time the same code.
+        algorithm="delta",
         pool_snapshots=pool_snapshots,
     )
     space = ConfigSpace(graph, topo)

@@ -67,11 +67,12 @@ class BenchScale:
     search_executor: str = "auto"
     search_cluster: tuple[str, ...] = ()
     # Timeline algorithm driving every search's simulator
-    # ("auto"/"full"/"delta"/"propagate"); result-neutral (bit-identical
-    # timelines), pure throughput.  "auto" routes each proposal to the
-    # cheapest repair (identity no-op / propagate / cut-time delta).
+    # ("full"/"auto"/"delta"/"propagate"); result-neutral (bit-identical
+    # timelines), pure throughput.  "full", the default, sweeps each
+    # proposal for its makespan alone -- MCMC mutation cones are dense,
+    # so no incremental repair beats it end to end.
     # REPRO_SIM_ALGO overrides.
-    sim_algorithm: str = "auto"
+    sim_algorithm: str = "full"
 
 
 CI_SCALE = BenchScale(

@@ -156,15 +156,16 @@ class SearchConfig:
     early_stop: EarlyStopConfig = EarlyStopConfig()
     inits: tuple[str, ...] = ("data_parallel", "random")
     seed: int = 0
-    # Timeline algorithm the chains' simulators run: "auto" (the
-    # default: per-proposal routing between an identity no-op, change
-    # propagation, and the cut-time repair -- see repro.sim.simulator),
-    # "delta" (cut-time incremental repair), "propagate" (change
-    # propagation with branch skipping, see repro.sim.propagate), or
-    # "full" (from-scratch).  Result-neutral -- all four are
-    # bit-identical -- and serialized like every other field, so remote
-    # ChainSpec dispatch honors it.
-    algorithm: str = "auto"
+    # Timeline algorithm the chains' simulators run: "full" (the
+    # default: a from-scratch makespan sweep per proposal, the fastest
+    # path end to end because MCMC mutation cones are dense -- see
+    # repro.sim.simulator), "auto" (per-proposal routing between an
+    # identity no-op, change propagation, the cut-time repair and the
+    # full sweep), "delta" (cut-time incremental repair) or "propagate"
+    # (change propagation with branch skipping, see repro.sim.propagate).
+    # Result-neutral -- all four are bit-identical -- and serialized like
+    # every other field, so remote ChainSpec dispatch honors it.
+    algorithm: str = "full"
     beta_scale: float = 50.0
     backend_options: dict = field(default_factory=dict)
 

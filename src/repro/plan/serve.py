@@ -245,12 +245,6 @@ class PlanServer:
         srv.settimeout(0.5)
         bound_host, bound_port = srv.getsockname()[:2]
         self._srv = srv
-        self.address = f"{bound_host}:{bound_port}"
-        stream = self._announce_stream if self._announce_stream is not None else sys.stdout
-        print(f"REPRO-PLAN-SERVE {bound_host} {bound_port}", file=stream, flush=True)
-        if install_signal_handlers and threading.current_thread() is threading.main_thread():
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                signal.signal(sig, lambda *_: self.shutdown())
 
         join_thread: threading.Thread | None = None
         if self.join_bind is not None:
@@ -268,6 +262,15 @@ class PlanServer:
                 target=self._join_loop, args=(jsrv,), name="plan-join", daemon=True
             )
             join_thread.start()
+
+        # Announce only once both listeners are bound, so whoever waits on
+        # ``address`` (or the announcement) also sees ``join_address``.
+        self.address = f"{bound_host}:{bound_port}"
+        stream = self._announce_stream if self._announce_stream is not None else sys.stdout
+        print(f"REPRO-PLAN-SERVE {bound_host} {bound_port}", file=stream, flush=True)
+        if install_signal_handlers and threading.current_thread() is threading.main_thread():
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                signal.signal(sig, lambda *_: self.shutdown())
 
         workers = [
             threading.Thread(target=self._work_loop, name=f"plan-search-{i}", daemon=True)

@@ -8,7 +8,7 @@ SIMULATOR_VERSION = 1
 
 from repro.sim.arrays import TaskArrays
 from repro.sim.delta_sim import DeltaStats, delta_simulate
-from repro.sim.full_sim import Timeline, full_simulate
+from repro.sim.full_sim import Timeline, full_makespan, full_simulate
 from repro.sim.metrics import IterationMetrics, compute_metrics, throughput_samples_per_sec
 from repro.sim.propagate import propagate_simulate
 from repro.sim.simulator import ALGORITHMS, Simulator, simulate_strategy
@@ -21,6 +21,7 @@ __all__ = [
     "delta_simulate",
     "propagate_simulate",
     "Timeline",
+    "full_makespan",
     "full_simulate",
     "IterationMetrics",
     "compute_metrics",

@@ -43,8 +43,11 @@ impact is localized (identity re-splices; absorbed changes) repair
 ~3.4x lower wall cost than its own scalar heap, ~20x below this
 variant -- while dense random mutations, whose true change cone
 approaches the suffix, stay at task parity with a slightly higher
-constant factor.  The default ``algorithm="auto"`` router therefore
-sizes the cone *before* repairing: localized splices go to
+constant factor.  Those dense mutations are what MCMC proposes, so the
+default is ``algorithm="full"``, whose makespan-only sweep
+(:func:`~repro.sim.full_sim.full_makespan`) beats this variant end to
+end.  The ``algorithm="auto"`` router sizes the cone *before*
+repairing: localized splices go to
 ``propagate``, dense mutations land here while the predicted occupancy
 cone (per-device ``TaskArrays.dev_count`` summaries + chain bisects)
 stays under :data:`_SATURATION_FRAC` of the graph, and past that the

@@ -1,10 +1,21 @@
-"""Simulator facade: a task graph plus its live timeline.
+"""Simulator facade: a task graph plus its live cost.
 
 Bundles the pieces the execution optimizer needs: build once, then
 :meth:`Simulator.reconfigure` one operation at a time.  Four timeline
 algorithms share the same incremental task-graph update:
 
-``"auto"`` (default)
+``"full"`` (default)
+    re-simulate from scratch (Algorithm 1) -- how the paper isolates the
+    simulation algorithms in Table 4 and Figure 12, and the fastest path
+    end to end on every benchmark workload: MCMC mutations leave dense
+    change cones (the incremental algorithms re-simulate nearly the
+    whole graph anyway), and a proposal only needs the makespan.  So
+    each proposal runs :func:`~repro.sim.full_sim.full_makespan`, which
+    writes no per-task timeline; :attr:`Simulator.timeline` is rebuilt
+    by :func:`~repro.sim.full_sim.full_simulate` on first read, and a
+    revert restores the saved ``(timeline-or-None, makespan)`` pair with
+    no snapshot copy;
+``"auto"``
     per-proposal routing, cheapest-first.  A proposal whose config equals
     the operation's current config has an empty change cone: the splice
     would rebuild the exact task structure it removes, so the router
@@ -34,10 +45,7 @@ algorithms share the same incremental task-graph update:
     true change propagation (:mod:`repro.sim.propagate`): walks only
     actually-changed tasks, skips unaffected parallel branches, and
     falls back behind a cascade guard (``propagate_guard_frac``) to the
-    cut-time algorithm (pre-flight) or a full re-simulation (mid-flight);
-``"full"``
-    re-simulate from scratch (Algorithm 1) -- how the paper isolates the
-    simulation algorithms in Table 4 and Figure 12.
+    cut-time algorithm (pre-flight) or a full re-simulation (mid-flight).
 
 All four produce bit-identical timelines for every reachable state
 (property-tested at ``tol=0``), so the choice is pure throughput.
@@ -49,7 +57,7 @@ from repro.ir.graph import OperatorGraph
 from repro.machine.topology import DeviceTopology
 from repro.profiler.profiler import OpProfiler
 from repro.sim.delta_sim import DeltaStats, delta_simulate
-from repro.sim.full_sim import Timeline, full_simulate
+from repro.sim.full_sim import Timeline, full_makespan, full_simulate
 from repro.sim.metrics import IterationMetrics, compute_metrics
 from repro.sim.propagate import (
     DEFAULT_GUARD_FRAC,
@@ -63,12 +71,18 @@ from repro.soap.strategy import Strategy
 __all__ = ["ALGORITHMS", "Simulator", "simulate_strategy"]
 
 #: The valid ``algorithm=`` names, in "most incremental first" order
-#: (``auto`` routes between the two incremental algorithms per proposal).
+#: (``auto`` routes between the two incremental algorithms per proposal;
+#: ``full`` is the default).
 ALGORITHMS = ("auto", "propagate", "delta", "full")
 
 
 class Simulator:
-    """Live (task graph, timeline) pair under incremental reconfiguration."""
+    """Live (task graph, cost) pair under incremental reconfiguration.
+
+    The incremental algorithms keep the timeline live and repair it in
+    place; ``full`` keeps only the makespan and builds the timeline when
+    something reads :attr:`timeline`.
+    """
 
     def __init__(
         self,
@@ -77,7 +91,7 @@ class Simulator:
         strategy: Strategy,
         profiler: OpProfiler | None = None,
         training: bool = True,
-        algorithm: str = "auto",
+        algorithm: str = "full",
         pool_snapshots: bool = True,
         propagate_guard_frac: float = DEFAULT_GUARD_FRAC,
     ):
@@ -91,10 +105,17 @@ class Simulator:
         self.algorithm = algorithm
         self.propagate_guard_frac = propagate_guard_frac
         self.task_graph = TaskGraph(graph, topology, strategy, self.profiler, training=training)
-        self.timeline: Timeline = full_simulate(self.task_graph)
+        self._timeline: Timeline | None = None  # None: dropped by the full path
+        if algorithm == "full":
+            self._makespan = full_makespan(self.task_graph)
+        else:
+            self.timeline = full_simulate(self.task_graph)  # sets _makespan too
         self.delta_stats = DeltaStats()
         self.reverts = 0  # snapshot restores that replaced an undo simulation
-        self._pending: Timeline | None = None
+        # In-flight proposal's saved state: a Timeline snapshot for the
+        # incremental algorithms, a (timeline-or-None, makespan) pair for
+        # the full one.
+        self._pending: Timeline | tuple[Timeline | None, float] | None = None
         self._pending_noop = False  # pending proposal was an identity no-op
         # Snapshot pooling (delta algorithm only): one scratch Timeline is
         # recycled through the propose/commit/revert cycle instead of
@@ -108,7 +129,20 @@ class Simulator:
     @property
     def cost(self) -> float:
         """Predicted per-iteration execution time in microseconds."""
-        return self.timeline.makespan
+        return self._makespan
+
+    @property
+    def timeline(self) -> Timeline:
+        """The live timeline; under ``full`` rebuilt on first read."""
+        tl = self._timeline
+        if tl is None:
+            tl = self._timeline = full_simulate(self.task_graph)
+        return tl
+
+    @timeline.setter
+    def timeline(self, tl: Timeline) -> None:
+        self._timeline = tl
+        self._makespan = tl.makespan
 
     @property
     def strategy(self) -> Strategy:
@@ -126,8 +160,14 @@ class Simulator:
         return self.algorithm == "auto" and cfg == self.task_graph.strategy[op_id]
 
     def _repair(self, removed: dict, dirty: set[int]) -> None:
-        """Bring the timeline up to date after a task-graph splice."""
+        """Bring the cost (and any live timeline) up to date after a splice."""
         algo = self.algorithm
+        if algo == "full":
+            # A proposal is judged by its makespan alone: sweep for that
+            # and drop the timeline until someone reads it.
+            self._timeline = None
+            self._makespan = full_makespan(self.task_graph)
+            return
         st = self.delta_stats
         predicted = None
         if algo == "auto":
@@ -157,7 +197,7 @@ class Simulator:
                 st,
                 guard_frac=self.propagate_guard_frac,
             )
-        elif predicted is not None:
+        else:
             # Auto-routed full sweep: a routing destination, not a
             # fallback -- the occupancy cone saturated the graph, so the
             # vectorized Algorithm 1 is predicted cheapest outright.
@@ -166,8 +206,8 @@ class Simulator:
             st.tasks_total += len(self.task_graph.tasks)
             st.tasks_resimulated += len(self.task_graph.tasks)
             self.timeline = full_simulate(self.task_graph)
-        else:
-            self.timeline = full_simulate(self.task_graph)
+        # delta and propagate repair the timeline in place: refresh the cost.
+        self._makespan = self._timeline.makespan
         if predicted is not None:
             actual = st.tasks_resimulated - resim0
             st.predicted_cone_tasks += predicted
@@ -185,10 +225,10 @@ class Simulator:
             st = self.delta_stats
             st.auto_noop += 1
             st.route_counts["noop"] = st.route_counts.get("noop", 0) + 1
-            return self.timeline.makespan
+            return self._makespan
         removed, dirty = self.task_graph.replace_config(op_id, cfg)
         self._repair(removed, dirty)
-        return self.timeline.makespan
+        return self._makespan
 
     # -- speculative reconfiguration ---------------------------------------
     def propose(self, op_id: int, cfg: ParallelConfig) -> float:
@@ -211,12 +251,12 @@ class Simulator:
             )
             self._pending = self.timeline
             self._pending_noop = True
-            return self.timeline.makespan
+            return self._makespan
         # The incremental algorithms (delta, propagate) repair the timeline
-        # in place, so reverting needs a copy; the full algorithm builds a
-        # fresh timeline and the old object can be kept as-is.  With
-        # pooling on, the copy reuses the scratch timeline recycled by the
-        # last commit/revert.
+        # in place, so reverting needs a copy; the full algorithm replaces
+        # the (timeline, makespan) pair outright, so keeping the old pair
+        # is enough.  With pooling on, the copy reuses the scratch
+        # timeline recycled by the last commit/revert.
         if self._incremental:
             scratch, self._scratch = self._scratch, None
             saved = (
@@ -225,11 +265,11 @@ class Simulator:
                 else self.timeline.copy()
             )
         else:
-            saved = self.timeline
+            saved = (self._timeline, self._makespan)
         removed, dirty = self.task_graph.replace_config(op_id, cfg, keep_record=True)
         self._repair(removed, dirty)
         self._pending = saved
-        return self.timeline.makespan
+        return self._makespan
 
     def commit(self) -> None:
         """Adopt the pending proposal."""
@@ -256,15 +296,18 @@ class Simulator:
             self._pending = None
             self._pending_noop = False
             self.reverts += 1
-            return self.timeline.makespan
+            return self._makespan
         self.task_graph.undo_last_splice()
-        if self._incremental and self.pool_snapshots:
-            # The discarded (repaired-in-place) timeline becomes scratch.
-            self._scratch = self.timeline
-        self.timeline = self._pending
+        if self._incremental:
+            if self.pool_snapshots:
+                # The discarded (repaired-in-place) timeline becomes scratch.
+                self._scratch = self._timeline
+            self.timeline = self._pending
+        else:
+            self._timeline, self._makespan = self._pending
         self._pending = None
         self.reverts += 1
-        return self.timeline.makespan
+        return self._makespan
 
     def metrics(self) -> IterationMetrics:
         return compute_metrics(self.task_graph, self.timeline)

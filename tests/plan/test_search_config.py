@@ -126,7 +126,7 @@ class TestReplaceAndOptions:
         assert cfg.budget.no_improve_frac == 0.5
         assert cfg.execution.workers == 1
         assert cfg.inits == ("data_parallel", "random")
-        assert cfg.algorithm == "auto"
+        assert cfg.algorithm == "full"
         assert cfg.beta_scale == 50.0
         assert cfg.store.root is None
         assert cfg.early_stop.cost_us is None

@@ -150,7 +150,11 @@ class TestDeltaEqualsFull:
         proposal."""
         from repro.sim.full_sim import Timeline
 
-        sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
+        # delta keeps a live timeline from construction on.
+        sim = Simulator(
+            lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(),
+            algorithm="delta",
+        )
         before = sim.cost
         calls = {"n": 0}
         orig = Timeline.recompute_makespan
@@ -214,6 +218,7 @@ class TestSnapshotPooling:
                 topo4,
                 data_parallelism(lenet_graph, topo4),
                 OpProfiler(),
+                algorithm="delta",
                 pool_snapshots=pooled,
             )
             costs = []
@@ -229,7 +234,10 @@ class TestSnapshotPooling:
     def test_pooled_revert_restores_exact_timeline(self, lenet_graph, topo4):
         rng = np.random.default_rng(3)
         space = ConfigSpace(lenet_graph, topo4)
-        sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
+        sim = Simulator(
+            lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(),
+            algorithm="delta",
+        )
         assert sim.pool_snapshots
         base = sim.cost
         for _ in range(12):
@@ -243,7 +251,11 @@ class TestSnapshotPooling:
     def test_scratch_is_recycled_not_leaked(self, lenet_graph, topo4):
         rng = np.random.default_rng(5)
         space = ConfigSpace(lenet_graph, topo4)
-        sim = Simulator(lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler())
+        # Pooling applies only to the in-place (incremental) algorithms.
+        sim = Simulator(
+            lenet_graph, topo4, data_parallelism(lenet_graph, topo4), OpProfiler(),
+            algorithm="delta",
+        )
         oid = int(lenet_graph.op_ids[0])
         sim.propose(oid, space.random_config(oid, rng))
         sim.revert()
